@@ -12,14 +12,11 @@ use crate::benchmark::{NlVisPair, NvBench, VisObject};
 use crate::error::{NvError, NvErrorKind};
 use crate::par;
 use nv_ast::Hardness;
-use nv_data::{Database, ExecBudget, ExecCache, ExecError};
+use nv_data::{Database, ExecBudget, ExecCache, ExecCtx, ExecError};
 use nv_quality::DeepEyeFilter;
 use nv_spider::SpiderCorpus;
 use nv_sql::{parse_sql, SqlError};
-use nv_synth::{
-    filter_candidates_budgeted, filter_candidates_cached_budgeted, generate_candidates,
-    FilterStats, GoodVis, NlSynthesizer,
-};
+use nv_synth::{filter_candidates, generate_candidates, FilterStats, GoodVis, NlSynthesizer};
 use serde::Serialize;
 use std::collections::{HashMap, HashSet};
 
@@ -241,16 +238,8 @@ impl Nl2SqlToNl2Vis {
         };
         let (good, filter_stats) = {
             let _s = nv_trace::span("filter");
-            match cache {
-                Some(c) => filter_candidates_cached_budgeted(
-                    db,
-                    candidates,
-                    &self.filter,
-                    c,
-                    self.cfg.budget,
-                )?,
-                None => filter_candidates_budgeted(db, candidates, &self.filter, self.cfg.budget)?,
-            }
+            let mut ctx = ExecCtx { budget: self.cfg.budget, cache };
+            filter_candidates(db, candidates, &self.filter, &mut ctx)?
         };
 
         // Rank survivors by filter score (carried from the filtering pass,
@@ -635,24 +624,19 @@ mod tests {
     fn cached_pair_matches_uncached() {
         let s = Nl2SqlToNl2Vis::new(SynthesizerConfig::default());
         let d = db();
-        let plain = s
-            .synthesize_pair(
+        let run = |cache: Option<&mut ExecCache>| {
+            s.synthesize_pair_impl(
                 &d,
                 "What is the average gpa for each major?",
                 "SELECT major, AVG(gpa) FROM student GROUP BY major",
                 1,
+                cache,
             )
-            .unwrap();
+            .unwrap()
+        };
+        let plain = run(None);
         let mut cache = ExecCache::new();
-        let cached = s
-            .synthesize_pair_cached(
-                &d,
-                "What is the average gpa for each major?",
-                "SELECT major, AVG(gpa) FROM student GROUP BY major",
-                1,
-                &mut cache,
-            )
-            .unwrap();
+        let cached = run(Some(&mut cache));
         assert_eq!(plain.filter_stats, cached.filter_stats);
         assert_eq!(plain.outputs.len(), cached.outputs.len());
         for ((ga, va, ma), (gb, vb, mb)) in plain.outputs.iter().zip(&cached.outputs) {

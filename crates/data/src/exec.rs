@@ -27,10 +27,11 @@
 //!    keyed by the canonical sub-tree (this also lifts subquery execution
 //!    out of the per-row predicate loop).
 //!
-//! Cached data is shared via `Arc` and never mutated, so
-//! [`execute_with_cache`] is bit-identical to [`execute`] — the cache is a
-//! pure performance layer. A cache is bound to the first database it sees
-//! and refuses reuse against another.
+//! A cache rides along in the [`ExecCtx`] passed to [`execute_with`].
+//! Cached data is shared via `Arc` and never mutated, so execution through a
+//! cache is bit-identical to [`execute`] — the cache is a pure performance
+//! layer. A cache is bound to the first database it sees and refuses reuse
+//! against another.
 
 use crate::schema::ColumnType;
 use crate::table::Database;
@@ -85,10 +86,10 @@ impl std::error::Error for ExecError {}
 /// makes them an OOM guard rather than an after-the-fact diagnostic.
 ///
 /// Fuel is charged per row visited. Cache hits *replay* the charge the
-/// cached computation made when it was built (fuel and peak-row checks), so
-/// a warm execution reports exactly the same budget spend as a cold one and
-/// trips the same limits — the cache is a pure wall-clock optimization,
-/// invisible to budget accounting.
+/// cached computation made when it was built (fuel, peak-row and
+/// subquery-depth checks), so a warm execution reports exactly the same
+/// budget spend as a cold one and trips the same limits — the cache is a
+/// pure wall-clock optimization, invisible to budget accounting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecBudget {
     /// Max rows any intermediate relation may materialize (joins, scans,
@@ -122,34 +123,58 @@ struct Meter {
     /// section (see [`Self::begin_section`]); after all sections close,
     /// the largest across the whole execution.
     peak_rows: usize,
+    /// Deepest subquery nesting reached in the current section.
+    peak_depth: usize,
+}
+
+/// The budget spend of one cacheable computation, relative to where it
+/// started: what a cache hit must [`Meter::replay`].
+#[derive(Debug, Clone, Copy)]
+struct Cost {
+    fuel: u64,
+    peak_rows: usize,
+    /// Subquery levels nested below the computation's own depth.
+    depth: usize,
 }
 
 impl Meter {
     fn new(budget: ExecBudget) -> Meter {
-        Meter { budget, fuel_used: 0, depth: 0, peak_rows: 0 }
+        Meter { budget, fuel_used: 0, depth: 0, peak_rows: 0, peak_depth: 0 }
     }
 
-    /// Start measuring a cacheable computation: returns a mark capturing
-    /// fuel-so-far and the enclosing section's peak. Sections nest.
-    fn begin_section(&mut self) -> (u64, usize) {
-        (self.fuel_used, std::mem::take(&mut self.peak_rows))
+    /// Start measuring a cacheable computation. Sections nest; the returned
+    /// mark holds the fuel so far and the enclosing section's peaks.
+    fn begin_section(&mut self) -> Cost {
+        Cost {
+            fuel: self.fuel_used,
+            peak_rows: std::mem::take(&mut self.peak_rows),
+            depth: std::mem::replace(&mut self.peak_depth, self.depth),
+        }
     }
 
-    /// Close a section: returns `(fuel_delta, peak_rows)` spent inside it —
-    /// exactly what a cache hit must later [`Self::replay`] — and folds the
-    /// section's peak back into the enclosing one.
-    fn end_section(&mut self, mark: (u64, usize)) -> (u64, usize) {
-        let fuel = self.fuel_used - mark.0;
-        let peak = self.peak_rows;
-        self.peak_rows = peak.max(mark.1);
-        (fuel, peak)
+    /// Close a section: returns the [`Cost`] spent inside it and folds the
+    /// section's peaks back into the enclosing one.
+    fn end_section(&mut self, mark: Cost) -> Cost {
+        let cost = Cost {
+            fuel: self.fuel_used - mark.fuel,
+            peak_rows: self.peak_rows,
+            depth: self.peak_depth - self.depth,
+        };
+        self.peak_rows = self.peak_rows.max(mark.peak_rows);
+        self.peak_depth = self.peak_depth.max(mark.depth);
+        cost
     }
 
     /// Charge a cache hit with the spend its cold construction recorded,
-    /// so warm and cold runs are indistinguishable to the budget.
-    fn replay(&mut self, fuel: u64, peak_rows: usize, what: &str) -> Result<(), ExecError> {
-        self.check_rows(peak_rows, what)?;
-        self.charge(fuel)
+    /// so warm and cold runs are indistinguishable to the budget. The
+    /// depth is checked relative to where the hit happens: a scan or
+    /// subquery result built at depth 0 may be reused deeper down.
+    fn replay(&mut self, cost: Cost, what: &str) -> Result<(), ExecError> {
+        let depth = self.depth + cost.depth;
+        self.peak_depth = self.peak_depth.max(depth);
+        self.check_depth(depth)?;
+        self.check_rows(cost.peak_rows, what)?;
+        self.charge(cost.fuel)
     }
 
     /// Spend `units` fuel (one unit ≈ one row visited).
@@ -179,10 +204,18 @@ impl Meter {
 
     fn enter_subquery(&mut self) -> Result<(), ExecError> {
         self.depth += 1;
-        if self.depth > self.budget.max_subquery_depth {
+        self.peak_depth = self.peak_depth.max(self.depth);
+        self.check_depth(self.depth)
+    }
+
+    /// A cold run trips the depth limit on the first level past it, so
+    /// that level is what the message names, warm or cold.
+    fn check_depth(&self, depth: usize) -> Result<(), ExecError> {
+        let limit = self.budget.max_subquery_depth;
+        if depth > limit {
             return Err(ExecError::ResourceExhausted(format!(
-                "subquery depth {} exceeds limit {}",
-                self.depth, self.budget.max_subquery_depth
+                "subquery depth {} exceeds limit {limit}",
+                limit + 1
             )));
         }
         Ok(())
@@ -284,8 +317,7 @@ pub struct ExecCache {
 #[derive(Debug)]
 struct Cached<T> {
     value: T,
-    fuel: u64,
-    peak_rows: usize,
+    cost: Cost,
 }
 
 impl ExecCache {
@@ -339,19 +371,21 @@ struct GroupEntry {
     rows: Vec<usize>,
 }
 
-/// Execute a query against a database, ignoring any `Visualize` node. Uses
-/// the (generous) default [`ExecBudget`].
-pub fn execute(db: &Database, q: &VisQuery) -> Result<ResultSet, ExecError> {
-    execute_budgeted(db, q, ExecBudget::default())
+/// Per-call execution options: the resource budget, and optionally a
+/// per-database [`ExecCache`] so repeated FROM/WHERE/GROUP fragments and
+/// subqueries are computed once. `ExecCtx::default()` is the default
+/// [`ExecBudget`] with no cache. Results and [`ExecSpend`] are identical
+/// with and without a cache.
+#[derive(Debug, Default)]
+pub struct ExecCtx<'c> {
+    pub budget: ExecBudget,
+    pub cache: Option<&'c mut ExecCache>,
 }
 
-/// [`execute`] with an explicit resource budget.
-pub fn execute_budgeted(
-    db: &Database,
-    q: &VisQuery,
-    budget: ExecBudget,
-) -> Result<ResultSet, ExecError> {
-    execute_metered(db, q, budget).map(|(rs, _)| rs)
+/// Execute a query against a database, ignoring any `Visualize` node. Uses
+/// the (generous) default [`ExecBudget`] and no cache.
+pub fn execute(db: &Database, q: &VisQuery) -> Result<ResultSet, ExecError> {
+    execute_with(db, q, &mut ExecCtx::default()).map(|(rs, _)| rs)
 }
 
 /// What one execution actually charged against its [`ExecBudget`] —
@@ -365,55 +399,23 @@ pub struct ExecSpend {
     pub peak_rows: usize,
 }
 
-/// [`execute_budgeted`], also reporting the budget spend.
-pub fn execute_metered(
+/// Execute under `ctx`'s budget, through its cache when it has one, and
+/// report the budget spend.
+pub fn execute_with(
     db: &Database,
     q: &VisQuery,
-    budget: ExecBudget,
+    ctx: &mut ExecCtx<'_>,
 ) -> Result<(ResultSet, ExecSpend), ExecError> {
     fault_check(q)?;
-    let mut e = Exec { cache: None, meter: Meter::new(budget) };
+    if let Some(c) = ctx.cache.as_deref_mut() {
+        c.bind(db);
+    }
+    let cache = ctx.cache.as_deref_mut();
+    let stats_before = cache.as_ref().map(|c| c.stats);
+    let mut e = Exec { cache, meter: Meter::new(ctx.budget) };
     let rs = e.set(db, &q.query)?;
     let spend = ExecSpend { fuel_used: e.meter.fuel_used, peak_rows: e.meter.peak_rows };
-    trace_exec(&rs, spend, None);
-    Ok((rs, spend))
-}
-
-/// Execute through a per-database [`ExecCache`]. Output is bit-identical to
-/// [`execute`]; repeated FROM/WHERE/GROUP fragments and subqueries are
-/// computed once. Uses the default [`ExecBudget`].
-pub fn execute_with_cache(
-    db: &Database,
-    q: &VisQuery,
-    cache: &mut ExecCache,
-) -> Result<ResultSet, ExecError> {
-    execute_with_cache_budgeted(db, q, cache, ExecBudget::default())
-}
-
-/// [`execute_with_cache`] with an explicit resource budget.
-pub fn execute_with_cache_budgeted(
-    db: &Database,
-    q: &VisQuery,
-    cache: &mut ExecCache,
-    budget: ExecBudget,
-) -> Result<ResultSet, ExecError> {
-    execute_with_cache_metered(db, q, cache, budget).map(|(rs, _)| rs)
-}
-
-/// [`execute_with_cache_budgeted`], also reporting the budget spend.
-pub fn execute_with_cache_metered(
-    db: &Database,
-    q: &VisQuery,
-    cache: &mut ExecCache,
-    budget: ExecBudget,
-) -> Result<(ResultSet, ExecSpend), ExecError> {
-    fault_check(q)?;
-    cache.bind(db);
-    let stats_before = cache.stats;
-    let mut e = Exec { cache: Some(cache), meter: Meter::new(budget) };
-    let rs = e.set(db, &q.query)?;
-    let spend = ExecSpend { fuel_used: e.meter.fuel_used, peak_rows: e.meter.peak_rows };
-    trace_exec(&rs, spend, Some((stats_before, cache.stats)));
+    trace_exec(&rs, spend, stats_before.zip(e.cache.map(|c| c.stats)));
     Ok((rs, spend))
 }
 
@@ -510,8 +512,8 @@ impl Exec<'_> {
         if let (Some(c), Some(k)) = (self.cache.as_deref_mut(), key.as_deref()) {
             if let Some(s) = c.scans.get(k) {
                 c.stats.scan_hits += 1;
-                let (data, fuel, peak) = (Arc::clone(&s.value), s.fuel, s.peak_rows);
-                self.meter.replay(fuel, peak, "table scan")?;
+                let (data, cost) = (Arc::clone(&s.value), s.cost);
+                self.meter.replay(cost, "table scan")?;
                 return Ok((data, key));
             }
             c.stats.scan_misses += 1;
@@ -531,9 +533,9 @@ impl Exec<'_> {
         }
         let scan = Arc::new(ScanData { cols: rel.cols, types: rel.types, rows: kept });
         if let Some(mark) = mark {
-            let (fuel, peak_rows) = self.meter.end_section(mark);
+            let cost = self.meter.end_section(mark);
             if let (Some(c), Some(k)) = (self.cache.as_deref_mut(), key.clone()) {
-                c.scans.insert(k, Cached { value: Arc::clone(&scan), fuel, peak_rows });
+                c.scans.insert(k, Cached { value: Arc::clone(&scan), cost });
             }
         }
         Ok((scan, key))
@@ -555,8 +557,8 @@ impl Exec<'_> {
         if let (Some(c), Some(k)) = (self.cache.as_deref_mut(), key.as_deref()) {
             if let Some(g) = c.groups.get(k) {
                 c.stats.group_hits += 1;
-                let (entries, fuel, peak) = (Arc::clone(&g.value), g.fuel, g.peak_rows);
-                self.meter.replay(fuel, peak, "group partition")?;
+                let (entries, cost) = (Arc::clone(&g.value), g.cost);
+                self.meter.replay(cost, "group partition")?;
                 return Ok(entries);
             }
             c.stats.group_misses += 1;
@@ -612,9 +614,9 @@ impl Exec<'_> {
 
         let entries = Arc::new(entries);
         if let Some(mark) = mark {
-            let (fuel, peak_rows) = self.meter.end_section(mark);
+            let cost = self.meter.end_section(mark);
             if let (Some(c), Some(k)) = (self.cache.as_deref_mut(), key) {
-                c.groups.insert(k, Cached { value: Arc::clone(&entries), fuel, peak_rows });
+                c.groups.insert(k, Cached { value: Arc::clone(&entries), cost });
             }
         }
         Ok(entries)
@@ -783,17 +785,17 @@ impl Exec<'_> {
         if let Some(c) = self.cache.as_deref_mut() {
             if let Some(rs) = c.results.get(&key) {
                 c.stats.result_hits += 1;
-                let (rs, fuel, peak) = (Arc::clone(&rs.value), rs.fuel, rs.peak_rows);
-                self.meter.replay(fuel, peak, "subquery")?;
+                let (rs, cost) = (Arc::clone(&rs.value), rs.cost);
+                self.meter.replay(cost, "subquery")?;
                 return Ok(first_col(&rs));
             }
             c.stats.result_misses += 1;
         }
         let mark = self.meter.begin_section();
         let rs = Arc::new(self.set(db, q)?);
-        let (fuel, peak_rows) = self.meter.end_section(mark);
+        let cost = self.meter.end_section(mark);
         if let Some(c) = self.cache.as_deref_mut() {
-            c.results.insert(key, Cached { value: Arc::clone(&rs), fuel, peak_rows });
+            c.results.insert(key, Cached { value: Arc::clone(&rs), cost });
         }
         Ok(first_col(&rs))
     }
@@ -1391,6 +1393,21 @@ mod tests {
         execute(&db(), &parse_vql_str(vql).unwrap()).unwrap()
     }
 
+    /// Execute under `budget`, through `cache` when given.
+    fn run_ctx(
+        db: &Database,
+        q: &VisQuery,
+        budget: ExecBudget,
+        cache: Option<&mut ExecCache>,
+    ) -> Result<(ResultSet, ExecSpend), ExecError> {
+        execute_with(db, q, &mut ExecCtx { budget, cache })
+    }
+
+    /// Execute with the default budget through `cache`.
+    fn run_cached(db: &Database, q: &VisQuery, cache: &mut ExecCache) -> ResultSet {
+        run_ctx(db, q, ExecBudget::default(), Some(cache)).unwrap().0
+    }
+
     #[test]
     fn simple_projection() {
         let rs = run("select flight.destination , flight.price from flight");
@@ -1728,9 +1745,9 @@ mod tests {
         for vql in queries {
             let q = parse_vql_str(vql).unwrap();
             let plain = execute(&db, &q).unwrap();
-            let cold = execute_with_cache(&db, &q, &mut cache).unwrap();
+            let cold = run_cached(&db, &q, &mut cache);
             assert_eq!(plain, cold, "cold-cache mismatch on {vql}");
-            let warm = execute_with_cache(&db, &q, &mut cache).unwrap();
+            let warm = run_cached(&db, &q, &mut cache);
             assert_eq!(plain, warm, "warm-cache mismatch on {vql}");
         }
         assert!(cache.stats.scan_hits > 0, "warm runs must hit the scan cache");
@@ -1755,7 +1772,7 @@ mod tests {
         ];
         for vql in variants {
             let q = parse_vql_str(vql).unwrap();
-            execute_with_cache(&db, &q, &mut cache).unwrap();
+            run_cached(&db, &q, &mut cache);
         }
         // One unique (FROM, WHERE) fragment → one scan miss, three hits.
         assert_eq!(cache.stats.scan_misses, 1);
@@ -1777,14 +1794,14 @@ mod tests {
         ));
         let q = parse_vql_str("select flight.fno from flight").unwrap();
         let mut cache = ExecCache::new();
-        execute_with_cache(&a, &q, &mut cache).unwrap();
+        run_cached(&a, &q, &mut cache);
         let q2 = parse_vql_str("select t.x from t").unwrap();
-        let _ = execute_with_cache(&b, &q2, &mut cache);
+        let _ = run_ctx(&b, &q2, ExecBudget::default(), Some(&mut cache));
     }
 
     // ---- resource budgets ------------------------------------------------
 
-    fn assert_exhausted(r: Result<ResultSet, ExecError>, needle: &str) {
+    fn assert_exhausted<T: std::fmt::Debug>(r: Result<T, ExecError>, needle: &str) {
         match r {
             Err(ExecError::ResourceExhausted(m)) => {
                 assert!(m.contains(needle), "message '{m}' lacks '{needle}'")
@@ -1798,7 +1815,7 @@ mod tests {
         let q = parse_vql_str("select flight.fno from flight").unwrap();
         let budget = ExecBudget { max_rows: 3, ..ExecBudget::default() };
         // The flight table has 5 rows; a 3-row ceiling must refuse the scan.
-        assert_exhausted(execute_budgeted(&db(), &q, budget), "rows");
+        assert_exhausted(run_ctx(&db(), &q, budget, None), "rows");
     }
 
     #[test]
@@ -1809,7 +1826,7 @@ mod tests {
         )
         .unwrap();
         let budget = ExecBudget { max_rows: 6, ..ExecBudget::default() };
-        assert_exhausted(execute_budgeted(&db(), &q, budget), "rows");
+        assert_exhausted(run_ctx(&db(), &q, budget, None), "rows");
     }
 
     #[test]
@@ -1821,15 +1838,14 @@ mod tests {
         )
         .unwrap();
         let shallow = ExecBudget { max_subquery_depth: 1, ..ExecBudget::default() };
-        assert_exhausted(execute_budgeted(&db(), &q, shallow), "depth");
+        assert_exhausted(run_ctx(&db(), &q, shallow, None), "depth");
         // Depth 2 is exactly enough.
         let deep = ExecBudget { max_subquery_depth: 2, ..ExecBudget::default() };
-        assert_eq!(execute_budgeted(&db(), &q, deep).unwrap().rows.len(), 2);
+        assert_eq!(run_ctx(&db(), &q, deep, None).unwrap().0.rows.len(), 2);
         // The limit trips identically through a cache, warm or cold.
         let mut cache = ExecCache::new();
         for _ in 0..2 {
-            let r = execute_with_cache_budgeted(&db(), &q, &mut cache, shallow);
-            assert_exhausted(r, "depth");
+            assert_exhausted(run_ctx(&db(), &q, shallow, Some(&mut cache)), "depth");
         }
     }
 
@@ -1841,7 +1857,7 @@ mod tests {
         )
         .unwrap();
         let budget = ExecBudget { fuel: 3, ..ExecBudget::default() };
-        assert_exhausted(execute_budgeted(&db(), &q, budget), "fuel");
+        assert_exhausted(run_ctx(&db(), &q, budget, None), "fuel");
     }
 
     #[test]
@@ -1851,9 +1867,9 @@ mod tests {
              join airport on flight.src = airport.id group by airport.city",
         )
         .unwrap();
-        let defaulted = execute_budgeted(&db(), &q, ExecBudget::default()).unwrap();
-        let unlimited = execute_budgeted(&db(), &q, ExecBudget::unlimited()).unwrap();
-        assert_eq!(defaulted, unlimited);
+        let defaulted = execute_with(&db(), &q, &mut ExecCtx::default()).unwrap();
+        let unlimited = run_ctx(&db(), &q, ExecBudget::unlimited(), None).unwrap();
+        assert_eq!(defaulted.0, unlimited.0);
     }
 
     /// Oracle-style budget-accounting parity: for every grammar feature,
@@ -1881,11 +1897,9 @@ mod tests {
         let mut cache = ExecCache::new();
         for vql in queries {
             let q = parse_vql_str(vql).unwrap();
-            let (_, plain) = execute_metered(&db, &q, ExecBudget::default()).unwrap();
-            let (_, cold) =
-                execute_with_cache_metered(&db, &q, &mut cache, ExecBudget::default()).unwrap();
-            let (_, warm) =
-                execute_with_cache_metered(&db, &q, &mut cache, ExecBudget::default()).unwrap();
+            let (_, plain) = execute_with(&db, &q, &mut ExecCtx::default()).unwrap();
+            let (_, cold) = run_ctx(&db, &q, ExecBudget::default(), Some(&mut cache)).unwrap();
+            let (_, warm) = run_ctx(&db, &q, ExecBudget::default(), Some(&mut cache)).unwrap();
             assert_eq!(plain, cold, "cold-cache spend diverged on {vql}");
             assert_eq!(plain, warm, "warm-cache spend diverged on {vql}");
         }
@@ -1904,21 +1918,75 @@ mod tests {
              group by flight.destination",
         )
         .unwrap();
-        let (_, spend) = execute_metered(&db, &q, ExecBudget::unlimited()).unwrap();
+        let (_, spend) = run_ctx(&db, &q, ExecBudget::unlimited(), None).unwrap();
         assert!(spend.fuel_used > 1);
         let enough = ExecBudget { fuel: spend.fuel_used, ..ExecBudget::default() };
         let short = ExecBudget { fuel: spend.fuel_used - 1, ..ExecBudget::default() };
 
         let mut cache = ExecCache::new();
-        assert_exhausted(execute_with_cache_budgeted(&db, &q, &mut cache, short), "fuel");
+        assert_exhausted(run_ctx(&db, &q, short, Some(&mut cache)), "fuel");
 
         let mut cache = ExecCache::new();
-        execute_with_cache_budgeted(&db, &q, &mut cache, enough).unwrap();
+        run_ctx(&db, &q, enough, Some(&mut cache)).unwrap();
         // Warm hit: previously the cached scan skipped its charges and
         // slipped under the limit; it must trip exactly like the cold run.
-        assert_exhausted(execute_with_cache_budgeted(&db, &q, &mut cache, short), "fuel");
-        let (_, warm) = execute_with_cache_metered(&db, &q, &mut cache, enough).unwrap();
+        assert_exhausted(run_ctx(&db, &q, short, Some(&mut cache)), "fuel");
+        let (_, warm) = run_ctx(&db, &q, enough, Some(&mut cache)).unwrap();
         assert_eq!(warm, spend);
+    }
+
+    /// Cache hits replay the subquery depth their cold build reached,
+    /// relative to where the hit happens: a scan or subquery result built
+    /// shallow and reused deeper must trip the same depth limit as a cold
+    /// run of the deeper query.
+    #[test]
+    fn depth_limit_trips_identically_warm_and_cold() {
+        let db = db();
+        let min = "( select min ( flight.price ) from flight )";
+        let s1 = format!(
+            "( select avg ( flight.price ) from flight where flight.price > {min} )"
+        );
+        // (budget depth, warm-up query, query that nests the warmed part
+        // one level deeper)
+        let cases = [
+            // Scan hit: the warm-up's WHERE scan (nesting 1) is reused inside
+            // an IN-subquery.
+            (
+                1,
+                format!("select flight.fno from flight where flight.price > {min}"),
+                format!(
+                    "select flight.destination from flight where flight.fno in \
+                     ( select flight.fno from flight where flight.price > {min} )"
+                ),
+            ),
+            // Subquery-result hit: S1 (nesting 1 inside it) is reused one
+            // level deeper.
+            (
+                2,
+                format!("select flight.fno from flight where flight.price > {s1}"),
+                format!(
+                    "select flight.fno from flight where flight.price > \
+                     ( select max ( flight.price ) from flight where flight.price > {s1} )"
+                ),
+            ),
+        ];
+        for (depth, warmup, deep) in cases {
+            let budget = ExecBudget { max_subquery_depth: depth, ..ExecBudget::default() };
+            let warmup = parse_vql_str(&warmup).unwrap();
+            let deep = parse_vql_str(&deep).unwrap();
+            let cold = run_ctx(&db, &deep, budget, None);
+            let needle = format!("subquery depth {} exceeds limit {depth}", depth + 1);
+            assert_exhausted(cold, &needle);
+            let mut cache = ExecCache::new();
+            run_ctx(&db, &warmup, budget, Some(&mut cache)).unwrap();
+            assert_exhausted(run_ctx(&db, &deep, budget, Some(&mut cache)), &needle);
+            assert!(cache.stats.hits() > 0, "the warm run must hit the cache");
+            // One more level of budget admits the query, warm and cold alike.
+            let roomy = ExecBudget { max_subquery_depth: depth + 1, ..budget };
+            let cold = run_ctx(&db, &deep, roomy, None).unwrap();
+            let warm = run_ctx(&db, &deep, roomy, Some(&mut cache)).unwrap();
+            assert_eq!(cold, warm);
+        }
     }
 
     #[test]
@@ -1926,12 +1994,12 @@ mod tests {
         let db = db();
         let mut cache = ExecCache::new();
         let q = parse_vql_str("select flight.fno from flight").unwrap();
-        execute_with_cache(&db, &q, &mut cache).unwrap();
+        run_cached(&db, &q, &mut cache);
         assert!(!cache.is_empty());
         cache.clear();
         assert!(cache.is_empty());
         // Still bound and usable after clear.
-        execute_with_cache(&db, &q, &mut cache).unwrap();
+        run_cached(&db, &q, &mut cache);
         assert_eq!(cache.stats.scan_misses, 2);
     }
 }

@@ -3,8 +3,8 @@
 
 use nv_ast::{ChartType, VisQuery};
 use nv_data::{
-    execute_budgeted, execute_with_cache_budgeted, ColumnType, Database, ExecBudget, ExecCache,
-    ExecError, ResultSet, Value,
+    execute_with, ColumnType, Database, ExecBudget, ExecCache, ExecCtx, ExecError, ResultSet,
+    Value,
 };
 
 /// Error producing chart data.
@@ -82,40 +82,31 @@ impl ChartData {
 /// For `GroupingScatter` the third select attribute is the categorical
 /// series even though x and y are both quantitative.
 pub fn chart_data(db: &Database, q: &VisQuery) -> Result<ChartData, RenderError> {
-    chart_data_budgeted(db, q, ExecBudget::default())
+    chart_data_with(db, q, &mut ExecCtx::default())
 }
 
-/// [`chart_data`] with an explicit executor resource budget.
-pub fn chart_data_budgeted(
+/// [`chart_data`] under an explicit [`ExecCtx`]: its budget, and its
+/// per-database cache when it has one, so sibling candidates sharing a
+/// FROM/WHERE/GROUP fragment reuse work.
+pub fn chart_data_with(
     db: &Database,
     q: &VisQuery,
-    budget: ExecBudget,
+    ctx: &mut ExecCtx<'_>,
 ) -> Result<ChartData, RenderError> {
     let chart = q.chart.ok_or(RenderError::NotAVisQuery)?;
-    let rs = execute_budgeted(db, q, budget)?;
+    let (rs, _) = execute_with(db, q, ctx)?;
     chart_data_from_result(chart, &rs)
 }
 
-/// Like [`chart_data`] but executing through a per-database [`ExecCache`],
-/// so sibling candidates sharing a FROM/WHERE/GROUP fragment reuse work.
-pub fn chart_data_cached(
-    db: &Database,
-    q: &VisQuery,
-    cache: &mut ExecCache,
-) -> Result<ChartData, RenderError> {
-    chart_data_cached_budgeted(db, q, cache, ExecBudget::default())
-}
-
-/// [`chart_data_cached`] with an explicit executor resource budget.
+/// [`chart_data_with`] through `cache` under `budget`. Kept with this exact
+/// signature for the benchmark harness (`perfbench/src/layers.rs:95`).
 pub fn chart_data_cached_budgeted(
     db: &Database,
     q: &VisQuery,
     cache: &mut ExecCache,
     budget: ExecBudget,
 ) -> Result<ChartData, RenderError> {
-    let chart = q.chart.ok_or(RenderError::NotAVisQuery)?;
-    let rs = execute_with_cache_budgeted(db, q, cache, budget)?;
-    chart_data_from_result(chart, &rs)
+    chart_data_with(db, q, &mut ExecCtx { budget, cache: Some(cache) })
 }
 
 /// Channel-map an already-executed result set.
